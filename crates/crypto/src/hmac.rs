@@ -2,9 +2,9 @@
 //!
 //! The base algorithms (WTS / GWTS) assume only *authenticated channels*;
 //! in a real deployment those are realized with per-link MACs. The
-//! simulator enforces sender authenticity structurally, but the byte-cost
-//! experiments (E8) optionally account for MAC overhead, and the threaded
-//! runner's wire format uses this implementation.
+//! simulator enforces sender authenticity structurally, and no runtime
+//! in this workspace MACs its frames yet; the `substrates` bench times
+//! this implementation as the per-message cost such links would add.
 
 use crate::sha512::{Sha512, BLOCK_LEN, DIGEST_LEN};
 

@@ -1,5 +1,4 @@
-//! Transport configuration shared by the event-driven runtime and the
-//! preserved [`crate::classic`] runtime.
+//! Transport configuration for a node or a whole runtime.
 
 use crate::fault::FaultPlan;
 use crate::link::LinkConfig;
@@ -20,8 +19,7 @@ pub struct NetConfig {
     pub dial_backoff_max_ms: u64,
     /// Wall-clock safety deadline for a driven run, in ms.
     pub deadline_ms: u64,
-    /// Poller pool size for the event-driven runtime; `0` means auto
-    /// (`min(4, available cores)`). The classic runtime ignores it.
+    /// Poller pool size; `0` means auto (`min(4, available cores)`).
     pub poller_threads: usize,
 }
 

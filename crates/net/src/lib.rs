@@ -25,8 +25,8 @@
 //!
 //! **Thread budget for an n-node runtime: pool (≤ 4) + n event
 //! threads**, asserted by `tests/thread_budget.rs` — versus roughly
-//! `3·n·(n−1)` for the thread-per-link design this replaced (kept,
-//! verbatim in behavior, as [`classic`] for differential testing).
+//! `3·n·(n−1)` for a thread-per-link design (a reader, a writer and a
+//! dialer per link).
 //!
 //! Two scheduling decisions follow from the pooled design:
 //!
@@ -88,8 +88,8 @@
 //! protocol ([`counters::SharedCounters::confirm_quiescent`]): enqueue
 //! *intents* and *retirements* are counted separately, and quiescence
 //! is two balanced reads bracketing an unchanged generation — sound
-//! with no sleep anywhere, unlike the time-beat heuristic the classic
-//! runtime used (a dispatcher slower than the beat could fool it; see
+//! with no sleep anywhere, unlike a time-beat heuristic ("zero, wait,
+//! still zero"), which a dispatcher slower than the beat can fool (see
 //! `counters` for the regression test).
 //!
 //! # Determinism
@@ -113,7 +113,6 @@
 
 #![warn(missing_docs)]
 
-pub mod classic;
 pub mod config;
 pub mod counters;
 pub mod fault;
@@ -125,7 +124,6 @@ pub mod runtime;
 pub mod trace_merge;
 pub(crate) mod wheel;
 
-pub use classic::{ClassicRuntime, ClassicRuntimeBuilder, ClassicTcpNode};
 pub use config::NetConfig;
 pub use counters::SharedCounters;
 pub use fault::{FaultAction, FaultConfig, FaultPlan};

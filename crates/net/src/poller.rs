@@ -19,8 +19,8 @@
 //!
 //! * **Listener** — nonblocking `accept`; accepted sockets are made
 //!   nonblocking and registered with the pool (no thread is ever
-//!   spawned per connection — that was the classic runtime's reader
-//!   leak).
+//!   spawned per connection, so reset-driven reconnect churn cannot
+//!   grow the thread count).
 //! * **Inbound connection** — drain available bytes, demux frames,
 //!   run HELLO identification and receive-side dedup/reorder, push
 //!   raw deliveries to the owning node's event thread, then write

@@ -12,9 +12,8 @@
 //!
 //! The thread budget is fixed at build time: the pool's
 //! `min(4, cores)` poller threads (override via
-//! [`NetConfig::poller_threads`]) plus one event thread per node —
-//! versus roughly `3·n·(n−1)` threads for the classic runtime kept in
-//! [`crate::classic`].
+//! [`NetConfig::poller_threads`]) plus one event thread per node,
+//! however many links the system has.
 //!
 //! # Quiescence vs budget
 //!
@@ -26,8 +25,8 @@
 //! confirmed by the generation-stamped protocol
 //! ([`SharedCounters::confirm_quiescent`]): two balanced reads of the
 //! intent/retirement counters bracketing an unchanged generation,
-//! sound without any sleep — not the racy "zero, wait 2 ms, still
-//! zero" beat the thread-per-link runtime used.
+//! sound without any sleep, where a "zero, wait 2 ms, still zero" beat
+//! is fooled by a dispatcher slower than the beat.
 
 use crate::config::NetConfig;
 use crate::counters::SharedCounters;

@@ -7,6 +7,7 @@
 use bgla_net::{FaultConfig, FaultPlan, LinkConfig, NetConfig, TcpRuntime, TcpRuntimeBuilder};
 use bgla_simnet::{Context, NodeObserver, OpEvent, Process, ProcessId, Transport};
 use std::any::Any;
+use std::time::Duration;
 
 /// Broadcasts one message at start; counts what it hears; replies to
 /// pings below a bound so multi-hop causal chains exist.
@@ -222,4 +223,51 @@ fn observer_logs_merge_into_a_dense_causal_trace() {
     }
     // One "heard" op per delivery, each stepped after its parent.
     assert_eq!(trace.ops().len() as u64, delivered);
+}
+
+/// Silent at start unless it is the opener, which sleeps in `on_start`
+/// and only then broadcasts 2; everyone bounces what they receive back
+/// down to 0.
+struct Bouncer {
+    opener_delay: Option<Duration>,
+}
+
+impl Process<u64> for Bouncer {
+    fn on_start(&mut self, ctx: &mut Context<u64>) {
+        if let Some(delay) = self.opener_delay {
+            std::thread::sleep(delay);
+            ctx.broadcast(2);
+        }
+    }
+    fn on_message(&mut self, from: ProcessId, msg: u64, ctx: &mut Context<u64>) {
+        if msg > 0 {
+            ctx.send(from, msg - 1);
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+#[test]
+fn start_barrier_prevents_premature_quiescence() {
+    // While the opener sleeps in `on_start`, the other seven nodes have
+    // started with nothing to send, so intents and retirements balance
+    // at zero. Only the `started == n` gate keeps that balanced read
+    // from being taken as quiescence, which would end the run before
+    // the opener's broadcast exists.
+    let n = 8;
+    let mut b = TcpRuntimeBuilder::new(NetConfig::default()).add(Box::new(Bouncer {
+        opener_delay: Some(Duration::from_millis(50)),
+    }));
+    for _ in 1..n {
+        b = b.add(Box::new(Bouncer { opener_delay: None }));
+    }
+    let mut rt = b.build().expect("bind localhost");
+    let out = rt.run_transport(100_000);
+    assert!(out.quiescent, "the run must quiesce");
+    // The broadcast of 2 reaches all n nodes; each bounce chain
+    // 2 -> 1 -> 0 costs 3 deliveries.
+    assert_eq!(out.delivered, 3 * n as u64, "premature quiescence");
+    rt.shutdown();
 }

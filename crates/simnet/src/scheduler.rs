@@ -125,7 +125,8 @@ pub trait Scheduler: Send {
 /// memory stays O(live). Because the engine calls `on_send` in `seq`
 /// order, insertion order *is* ascending-`seq` order — rank selection
 /// therefore reproduces an index into the seq-sorted in-flight list,
-/// exactly what the pre-slab engine handed to schedulers.
+/// exactly what the pre-slab engine handed to schedulers (pinned by
+/// `tests/engine_golden.rs`).
 #[derive(Debug, Default)]
 struct OrderedPool {
     /// (id, alive) in insertion order.
